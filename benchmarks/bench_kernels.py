@@ -82,7 +82,7 @@ def test_rle_roundtrip(benchmark):
 
 
 def test_packed_encode_sparse(benchmark):
-    """Levels -> one contiguous wire buffer (the shm-transport hot path)."""
+    """Levels -> one contiguous wire buffer (the worker result hot path)."""
     levels = np.zeros(200_000, dtype=np.int64)
     levels[RNG.choice(200_000, 5000, replace=False)] = RNG.integers(1, 16, 5000)
     benchmark(lambda: pack_levels(levels))

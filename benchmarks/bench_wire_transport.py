@@ -1,33 +1,27 @@
-"""A/B benchmarks for the tile transport and wire codec (ISSUE 3).
+"""Wire codec benchmarks: packed byte-level codec vs the tuple codec.
 
-Two comparisons, both asserted (so CI's perf-smoke job fails on
-regression), both also timed with pytest-benchmark for trend tracking:
+Both comparisons are asserted (so CI's perf-smoke job fails on regression)
+and also timed with pytest-benchmark for trend tracking:
 
-- **codec**: packed byte-level encode (``pack_levels``) vs the tuple-based
-  ``rle_encode`` on the same quantized activations — the packed codec must
-  not be slower, and its serialized size must be >= 5x smaller than the
-  pickled :class:`RLEStream` a result message used to carry.
-- **transport**: end-to-end ``ProcessCluster.infer`` latency on the
-  vgg_mini FDSP workload over ``transport="shm"`` vs ``"pickle"`` — shm
-  must not regress the median latency beyond noise.
+- **encode speed**: packed byte-level encode (``pack_levels``) vs the
+  tuple-based ``rle_encode`` on the same quantized activations — the
+  packed codec must not be slower;
+- **message size**: a tile result carrying packed bytes inline, pickled
+  as it rides the worker's result queue, must be >= 5x smaller than one
+  carrying the pickled :class:`RLEStream`.
+
+End-to-end latency is gated by the ``perfbench`` workloads, not here.
 """
 
 import pickle
 import time
 
 import numpy as np
-import pytest
 
 from repro.compression import CompressionPipeline, pack_levels, rle_encode, unpack
-from repro.models import vgg_mini
-from repro.partition import TileGrid
-from repro.runtime import ProcessCluster, ProcessClusterConfig, TileResult
-from repro.runtime.shm_arena import shm_available
-from repro.runtime.shm_arena import ShmRef
+from repro.runtime import TileResult
 
 RNG = np.random.default_rng(7)
-
-needs_shm = pytest.mark.skipif(not shm_available(), reason="POSIX shared memory unavailable")
 
 
 def activations():
@@ -73,8 +67,8 @@ def test_packed_decode(benchmark):
 
 def test_result_ipc_bytes_reduction():
     """Acceptance: >= 5x fewer per-tile-result IPC bytes than the pickled
-    RLEStream payload — for the packed buffer alone AND for the shm
-    descriptor that actually rides the queue."""
+    RLEStream payload — for the packed buffer alone AND for the whole
+    inline result message that actually rides the queue."""
     pipe = CompressionPipeline(bits=4)
     x = activations()
     pickled_tuple = len(pickle.dumps(TileResult(0, 0, pipe.compress(x), 0)))
@@ -82,54 +76,7 @@ def test_result_ipc_bytes_reduction():
     assert pickled_tuple >= 5 * pt.packed.nbytes, (
         f"packed buffer {pt.packed.nbytes} B vs pickled stream {pickled_tuple} B"
     )
-    ref = ShmRef(name="psm_abcdef00", nbytes=pt.packed.nbytes, kind="packed", raw_bits=pt.raw_bits)
-    pickled_descriptor = len(pickle.dumps(TileResult(0, 0, ref, 0)))
-    assert pickled_tuple >= 5 * pickled_descriptor, (
-        f"descriptor message {pickled_descriptor} B vs pickled stream {pickled_tuple} B"
+    pickled_packed = len(pickle.dumps(TileResult(0, 0, pt, 0)))
+    assert pickled_tuple >= 5 * pickled_packed, (
+        f"inline packed message {pickled_packed} B vs pickled stream {pickled_tuple} B"
     )
-
-
-# --------------------------------------------------------------- transport
-def _infer_latency(transport: str, n_images: int = 4) -> float:
-    model = vgg_mini(num_classes=3, input_size=24, base_width=6, separable_prefix=2).eval()
-    imgs = [RNG.normal(size=(1, 3, 24, 24)).astype(np.float32) for _ in range(n_images)]
-    cfg = ProcessClusterConfig(num_workers=2, transport=transport)
-    with ProcessCluster(model, TileGrid(2, 2), CompressionPipeline(bits=4), cfg) as cluster:
-        cluster.infer(imgs[0])  # warm-up: fork, arenas, first grants
-        laps = []
-        for img in imgs:
-            t0 = time.perf_counter()
-            cluster.infer(img)
-            laps.append(time.perf_counter() - t0)
-    return float(np.median(laps))
-
-
-@needs_shm
-def test_shm_transport_no_latency_regression():
-    """Acceptance: shm transport does not regress e2e infer latency on the
-    vgg_mini FDSP workload (generous 1.5x noise bound — queue scheduling
-    on a loaded CI box is jittery)."""
-    t_pickle = _infer_latency("pickle")
-    t_shm = _infer_latency("shm")
-    assert t_shm <= t_pickle * 1.5, (
-        f"shm transport {t_shm * 1e3:.1f} ms vs pickle {t_pickle * 1e3:.1f} ms"
-    )
-
-
-@needs_shm
-def test_infer_shm(benchmark):
-    model = vgg_mini(num_classes=3, input_size=24, base_width=6, separable_prefix=2).eval()
-    img = RNG.normal(size=(1, 3, 24, 24)).astype(np.float32)
-    cfg = ProcessClusterConfig(num_workers=2, transport="shm")
-    with ProcessCluster(model, TileGrid(2, 2), CompressionPipeline(bits=4), cfg) as cluster:
-        cluster.infer(img)
-        benchmark(lambda: cluster.infer(img))
-
-
-def test_infer_pickle(benchmark):
-    model = vgg_mini(num_classes=3, input_size=24, base_width=6, separable_prefix=2).eval()
-    img = RNG.normal(size=(1, 3, 24, 24)).astype(np.float32)
-    cfg = ProcessClusterConfig(num_workers=2, transport="pickle")
-    with ProcessCluster(model, TileGrid(2, 2), CompressionPipeline(bits=4), cfg) as cluster:
-        cluster.infer(img)
-        benchmark(lambda: cluster.infer(img))

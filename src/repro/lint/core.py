@@ -1,9 +1,9 @@
 """Shared AST visitor framework for the project linter (DESIGN.md §5e).
 
 The runtime's correctness rests on cross-process invariants — fork-safe
-module state, picklable queue messages, paired shared-memory lifecycles,
-a closed telemetry schema — that ordinary linters cannot see.  ``repro.lint``
-encodes them as AST rules sharing a single tree walk per file:
+module state, picklable queue messages, a closed telemetry schema — that
+ordinary linters cannot see.  ``repro.lint`` encodes them as AST rules
+sharing a single tree walk per file:
 
 - every :class:`Rule` registers for a set of path scopes (``include``
   fragments matched against the file's POSIX path);
@@ -17,7 +17,7 @@ Suppression syntax is position-precise: a trailing comment shields *its
 own* line only, a comment-only line shields the *next* line only::
 
     something_flagged()  # repro-lint: disable=RL001
-    # repro-lint: disable=RL003,RL004
+    # repro-lint: disable=RL002,RL004
     call_that_needs_both()
 
 A file-level opt-out for one code, placed anywhere in the first 20 lines::

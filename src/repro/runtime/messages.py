@@ -33,9 +33,7 @@ import numpy as np
 
 from repro.telemetry.trace import TraceContext
 
-from .shm_arena import ShmRef
-
-__all__ = ["TileTask", "TileResult", "Shutdown", "ArenaGrant", "LOCAL_WORKER", "drain_queue"]
+__all__ = ["TileTask", "TileResult", "Shutdown", "LOCAL_WORKER", "drain_queue"]
 
 #: Sentinel worker id for tiles the Central node computed itself (graceful
 #: degradation when no Conv node can accept work).
@@ -46,12 +44,7 @@ LOCAL_WORKER = -1
 class TileTask:
     """An input tile dispatched to a Conv node.
 
-    The tile data travels one of two ways: inline (``tile`` is the ndarray,
-    pickled with the message — the legacy ``transport="pickle"`` path) or
-    by reference (``tile is None`` and ``slot`` names a shared-memory slot
-    the Central node wrote — ``transport="shm"``, where the queue carries
-    only this small descriptor and the worker computes from a zero-copy
-    view of the slot).
+    ``tile`` is the input ndarray itself, pickled inline with the message.
 
     ``probe`` marks a recovery-probe tile: a single tile handed to a node
     whose ``s_k`` statistic has decayed to zero so it can demonstrate it is
@@ -66,16 +59,13 @@ class TileTask:
 
     image_id: int
     tile_id: int
-    tile: np.ndarray | None = None
+    tile: np.ndarray
     probe: bool = False
-    slot: ShmRef | None = None
     trace: TraceContext | None = None
 
     def __post_init__(self) -> None:
         if self.image_id < 0 or self.tile_id < 0:
             raise ValueError("ids must be non-negative")
-        if self.tile is None and self.slot is None:
-            raise ValueError("a task needs either an inline tile or a slot descriptor")
 
 
 def drain_queue(q: Queue[Any], retries: int = 2, retry_delay: float = 0.01) -> list[TileTask]:
@@ -108,8 +98,9 @@ def drain_queue(q: Queue[Any], retries: int = 2, retry_delay: float = 0.01) -> l
 class TileResult:
     """A Conv node's intermediate result for one tile.
 
-    ``payload`` is a :class:`repro.compression.CompressedTensor` when the §4
-    pipeline is enabled, otherwise a raw ndarray.
+    ``payload`` is a ``PackedTensor | ndarray``: the packed §4 wire bytes
+    (:class:`repro.compression.PackedTensor`) when the pipeline is enabled,
+    otherwise the raw ndarray.
 
     Timing fields are measured worker-side and survive into the run result
     (``InferenceOutcome``) and telemetry spans instead of being dropped:
@@ -120,18 +111,6 @@ class TileResult:
     (CLOCK_MONOTONIC — comparable across forked processes on Linux, so the
     Central node can place worker spans on a shared timeline).  All default
     to 0 for results synthesized centrally (zero-fill / local fallback).
-
-    ``ring_fallback`` marks a result whose bytes *could* have used the
-    worker's shared-memory slot ring but shipped inline because every slot
-    was still held by the Central node (back-pressure); the collect loop
-    counts these so benchmarks can see ring exhaustion under load.
-
-    ``dropped`` marks a *non*-result: the worker could not attach the
-    task's shm slot because it was unlinked under it (shutdown race), so no
-    tile was computed and ``payload`` is ``None``.  The collect loop counts
-    these (``adcnn_worker_dropped_tasks_total``) instead of treating them
-    as answers — the tile stays unanswered and follows the normal
-    re-dispatch/zero-fill path.
     """
 
     image_id: int
@@ -142,27 +121,9 @@ class TileResult:
     compress_seconds: float = 0.0
     t_start: float = 0.0
     t_end: float = 0.0
-    ring_fallback: bool = False
-    dropped: bool = False
     #: Echo of the dispatching task's trace context (``None`` for results
     #: synthesized centrally or when tracing is off).
     trace: TraceContext | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class ArenaGrant:
-    """Control message granting a worker its result-slot ring.
-
-    Sent through the task queue before any :class:`TileTask` that expects
-    shared-memory results: ``slot_names`` are Central-created segments the
-    worker cycles through (``cursor % len(slot_names)``), gated by a
-    fork-inherited semaphore of the same size.  A respawned worker gets a
-    fresh grant (fresh ring + fresh semaphore), mirroring the fresh-queue
-    respawn rule.
-    """
-
-    slot_names: tuple[str, ...]
-    slot_nbytes: int
 
 
 @dataclass(frozen=True, slots=True)

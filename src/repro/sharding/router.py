@@ -118,8 +118,8 @@ class ClusterRouter:
     Thread model matches :class:`~repro.runtime.process_backend.StreamEngine`:
     all calls from one driver thread.  The router keeps each in-flight
     image's original array precisely so whole-cluster death is survivable —
-    the cluster tier's shm slots and queues die with the cluster, but the
-    router can re-dispatch from its own copy.
+    the cluster tier's queues (and the tiles on them) die with the cluster,
+    but the router can re-dispatch from its own copy.
     """
 
     def __init__(

@@ -8,12 +8,17 @@ re-earns share through recovery probes.
 """
 
 import multiprocessing as mp
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.compression import CompressionPipeline
 from repro.models import vgg_mini
 from repro.nn import Tensor
 from repro.partition import FDSPModel, TileGrid
@@ -37,29 +42,79 @@ def images(n):
     return [RNG.normal(size=(1, 3, 24, 24)).astype(np.float32) for _ in range(n)]
 
 
+def kill_mid_stream(pipeline=None):
+    """The same 3-image stream on a healthy cluster and on one whose slow
+    worker 1 is killed 0.25 s in (while it still owns tiles)."""
+    model = small_model()
+    imgs = images(3)
+    cfg = ProcessClusterConfig(num_workers=2, t_limit=30.0, delay_per_tile=(0.0, 0.15))
+    with ProcessCluster(model, TileGrid(2, 2), pipeline, cfg) as cluster:
+        healthy = cluster.infer_stream(imgs, pipeline_depth=2)
+    with ProcessCluster(model, TileGrid(2, 2), pipeline, cfg) as cluster:
+        killer = threading.Timer(0.25, cluster.kill_worker, args=(1,))
+        killer.start()
+        try:
+            outcomes = cluster.infer_stream(imgs, pipeline_depth=2)
+        finally:
+            killer.cancel()
+        assert not cluster._procs[1].is_alive()  # the kill really landed
+    return healthy, outcomes
+
+
 class TestRedispatch:
     def test_kill_mid_stream_bit_identical(self):
         """Acceptance: one worker killed mid-stream with a generous deadline
         -> pending tiles re-dispatched, zero_filled == 0, and the outputs
         are bit-identical to the same stream on a healthy cluster."""
-        model = small_model()
-        imgs = images(3)
-        cfg = ProcessClusterConfig(num_workers=2, t_limit=30.0, delay_per_tile=(0.0, 0.15))
-        with ProcessCluster(model, TileGrid(2, 2), config=cfg) as cluster:
-            healthy = cluster.infer_stream(imgs, pipeline_depth=2)
-        with ProcessCluster(model, TileGrid(2, 2), config=cfg) as cluster:
-            killer = threading.Timer(0.25, cluster.kill_worker, args=(1,))
-            killer.start()
-            try:
-                outcomes = cluster.infer_stream(imgs, pipeline_depth=2)
-            finally:
-                killer.cancel()
+        healthy, outcomes = kill_mid_stream()
         for healthy_out, out in zip(healthy, outcomes):
             assert out.zero_filled_tiles == []
             np.testing.assert_array_equal(out.output, healthy_out.output)
         # The dead worker's share really moved: every tile was answered.
         assert all(o.received_per_worker.sum() + len(o.locally_computed_tiles) == 4
                    for o in outcomes)
+
+    def test_kill_mid_stream_packed_bit_identical(self):
+        """The same kill drill with the §4 pipeline on: re-dispatched tiles
+        come back as packed codec bytes and the stream stays bit-identical."""
+        healthy, outcomes = kill_mid_stream(CompressionPipeline(bits=4))
+        for healthy_out, out in zip(healthy, outcomes):
+            assert out.zero_filled_tiles == []
+            np.testing.assert_array_equal(out.output, healthy_out.output)
+
+    def test_kill_mid_stream_shutdown_is_warning_free(self):
+        """A full infer + mid-stream kill + stop cycle, in a fresh
+        interpreter, leaves no resource-tracker warnings on stderr."""
+        code = """
+import threading
+import numpy as np
+from repro.compression import CompressionPipeline
+from repro.models import vgg_mini
+from repro.partition import TileGrid
+from repro.runtime import ProcessCluster, ProcessClusterConfig
+
+model = vgg_mini(num_classes=3, input_size=24, base_width=6, separable_prefix=2).eval()
+rng = np.random.default_rng(0)
+imgs = [rng.normal(size=(1, 3, 24, 24)).astype(np.float32) for _ in range(2)]
+cfg = ProcessClusterConfig(num_workers=2, delay_per_tile=(0.0, 0.1), t_limit=30.0)
+with ProcessCluster(model, TileGrid(2, 2), CompressionPipeline(bits=4), cfg) as cluster:
+    threading.Timer(0.2, cluster.kill_worker, args=(1,)).start()
+    cluster.infer_stream(imgs, pipeline_depth=2)
+print("OK")
+"""
+        repo_root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(repo_root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+            cwd=repo_root,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "OK" in proc.stdout
+        assert "resource_tracker" not in proc.stderr, proc.stderr
 
     def test_redispatch_disabled_zero_fills(self):
         """With the supervision re-dispatch off, a killed worker's pending
@@ -97,6 +152,23 @@ class TestLocalFallback:
         assert out.locally_computed_tiles == [0, 1, 2, 3]
         assert out.received_per_worker.sum() == 0
         np.testing.assert_allclose(out.output, expected, atol=1e-5)
+
+    def test_all_workers_dead_packed_matches_healthy(self):
+        """With the §4 pipeline on, the local fallback encodes tiles the way
+        a worker does, so an all-local run equals a healthy one exactly."""
+        model = small_model()
+        x = images(1)[0]
+        pipeline = CompressionPipeline(bits=4)
+        cfg = ProcessClusterConfig(num_workers=2)
+        with ProcessCluster(model, TileGrid(2, 2), pipeline, cfg) as cluster:
+            healthy = cluster.infer(x)
+            cluster.kill_worker(0)
+            cluster.kill_worker(1)
+            out = cluster.infer(x)
+        assert healthy.locally_computed_tiles == []
+        assert out.zero_filled_tiles == []
+        assert out.locally_computed_tiles == [0, 1, 2, 3]
+        np.testing.assert_array_equal(out.output, healthy.output)
 
     def test_workers_die_mid_collect_central_takes_over(self):
         """All workers killed while results are pending: supervision finds
@@ -140,6 +212,29 @@ class TestRestartAndProbes:
             assert cluster.worker_rates[1] > 0  # probe delivered, share re-earned
             assert last.allocation[1] >= 1
             assert last.zero_filled_tiles == []
+
+    def test_restart_with_packed_results_completes(self):
+        """A respawned worker gets fresh queues and ships packed codec bytes
+        that decode like any other: no zero-fill, and the new incarnation
+        answers tiles."""
+        model = small_model()
+        cfg = ProcessClusterConfig(
+            num_workers=2,
+            t_limit=10.0,
+            gamma=1.0,
+            max_restarts=1,
+            restart_backoff=0.1,
+            probe_interval=1,
+        )
+        with ProcessCluster(model, TileGrid(2, 2), CompressionPipeline(bits=4), cfg) as cluster:
+            cluster.infer(images(1)[0])
+            cluster.kill_worker(1)
+            cluster.infer(images(1)[0])
+            time.sleep(0.15)  # let the restart backoff elapse
+            outs = [cluster.infer(images(1)[0]) for _ in range(3)]
+            assert cluster.restart_counts == [0, 1]
+        assert all(o.zero_filled_tiles == [] for o in outs)
+        assert sum(int(o.received_per_worker[1]) for o in outs) > 0
 
     def test_no_restarts_by_default(self):
         model = small_model()

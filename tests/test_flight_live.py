@@ -184,7 +184,7 @@ class TestRenderTop:
             ),
             in_flight=2,
             window=2,
-            transport="shm",
+            transport="pickle",
             images_dispatched=5,
         )
         snap = QuantileSnapshot(count=4, p50=0.010, p95=0.020, p99=0.030)
@@ -233,7 +233,7 @@ class TestLiveSnapshotsIntegration:
         assert health.healthy and len(health.nodes) == 2
         assert [n.node for n in health.nodes] == ["worker0", "worker1"]
         assert all(n.alive and n.restarts == 0 for n in health.nodes)
-        assert health.transport == "shm" and health.window == 2
+        assert health.transport == "pickle" and health.window == 2
         assert status.admitting and status.queue_capacity == 4
         assert status.submitted == 3 and status.completed == 3 and status.shed == 0
         assert status.clients == ("cam0",)

@@ -53,6 +53,38 @@ class TestProtocol:
             outcome = cluster.infer(x)
         np.testing.assert_allclose(outcome.output, expected, atol=1e-4)
 
+    def test_down_wire_bits_are_packed_nbytes(self):
+        """Down-direction wire bits are measured: 8 x the packed buffer
+        length of every tile result, for worker and local-fallback tiles
+        alike (both ship the same packed codec bytes)."""
+        from repro.partition.geometry import split_array
+        from repro.telemetry import TelemetryRecorder
+
+        model = small_model()
+        grid = TileGrid(2, 2)
+        pipeline = CompressionPipeline(bits=4)
+        x = RNG.normal(size=(1, 3, 24, 24)).astype(np.float32)
+        sep = model.separable_part()
+        sep.eval()
+        with nn.no_grad():
+            expected = sum(
+                8 * pipeline.compress_packed(sep(Tensor(t)).data).packed.nbytes
+                for t in split_array(x, grid)
+            )
+        tel = TelemetryRecorder()
+        cfg = ProcessClusterConfig(num_workers=2)
+        with ProcessCluster(model, grid, pipeline, cfg, telemetry=tel) as cluster:
+            remote = cluster.infer(x)
+            cluster.kill_worker(0)
+            cluster.kill_worker(1)
+            local = cluster.infer(x)
+        assert remote.zero_filled_tiles == [] and remote.locally_computed_tiles == []
+        assert local.locally_computed_tiles == [0, 1, 2, 3]
+        wire = tel.metrics.counter_value("adcnn_bits_wire_total", direction="down")
+        raw = tel.metrics.counter_value("adcnn_bits_raw_total", direction="down")
+        assert wire == 2 * expected
+        assert 0 < wire < raw
+
     def test_multiple_images_sequential(self):
         model = small_model()
         with ProcessCluster(model, TileGrid(2, 2), config=ProcessClusterConfig(num_workers=2)) as cluster:
@@ -107,33 +139,33 @@ class TestRateCredits:
     """The n_k computation shared conceptually with the DES backend."""
 
     def test_full_delivery_credits_rate(self):
-        from repro.runtime.process_backend import _rate_credits
+        from repro.runtime.controller import busy_span_credits
 
         received = np.array([4, 4])
         alloc = np.array([4, 4])
         busy = np.array([0.5, 1.0])  # worker 0 twice as fast
-        credits = _rate_credits(received, alloc, busy, window=1.0, num_tiles=8)
+        credits = busy_span_credits(received, alloc, busy, window=1.0, num_tiles=8)
         assert credits[0] == pytest.approx(2 * credits[1])
 
     def test_missed_deadline_raw_count(self):
-        from repro.runtime.process_backend import _rate_credits
+        from repro.runtime.controller import busy_span_credits
 
         received = np.array([4, 1])
         alloc = np.array([4, 4])
         busy = np.array([0.5, 1.0])
-        credits = _rate_credits(received, alloc, busy, window=1.0, num_tiles=8)
+        credits = busy_span_credits(received, alloc, busy, window=1.0, num_tiles=8)
         assert credits[1] == 1.0  # paper rule: count within the window
 
     def test_zero_received_zero_credit(self):
-        from repro.runtime.process_backend import _rate_credits
+        from repro.runtime.controller import busy_span_credits
 
-        credits = _rate_credits(np.array([3, 0]), np.array([3, 3]), np.array([0.3, 0.0]), 1.0, 6)
+        credits = busy_span_credits(np.array([3, 0]), np.array([3, 3]), np.array([0.3, 0.0]), 1.0, 6)
         assert credits[1] == 0.0
 
     def test_credit_capped_at_tiles(self):
-        from repro.runtime.process_backend import _rate_credits
+        from repro.runtime.controller import busy_span_credits
 
-        credits = _rate_credits(np.array([4]), np.array([4]), np.array([1e-6]), 10.0, 8)
+        credits = busy_span_credits(np.array([4]), np.array([4]), np.array([1e-6]), 10.0, 8)
         assert credits[0] == 8.0
 
 
@@ -265,47 +297,3 @@ class TestWorkerCoalescing:
             for res, tile in zip(results, tiles):
                 np.testing.assert_array_equal(res.payload, sep(Tensor(tile)).data)
 
-    def test_unattachable_slot_yields_dropped_marker(self):
-        """A slot unlinked under the worker produces a counted marker, not
-        a silent skip, and does not poison the rest of the batch."""
-        from repro.partition.geometry import split_array
-        from repro.runtime.shm_arena import ShmRef
-
-        model = small_model()
-        grid = TileGrid(2, 2)
-        tiles = split_array(RNG.normal(size=(1, 3, 24, 24)).astype(np.float32), grid)
-        bogus = ShmRef(
-            name="adcnn_test_unlinked_slot",
-            nbytes=tiles[1].nbytes,
-            kind="raw",
-            shape=tiles[1].shape,
-            dtype="float32",
-        )
-        tasks = [
-            TileTask(image_id=0, tile_id=0, tile=tiles[0]),
-            TileTask(image_id=0, tile_id=1, slot=bogus),
-        ]
-        results = self._run_worker(model, tasks)
-        by_id = {r.tile_id: r for r in results}
-        assert by_id[1].dropped and by_id[1].payload is None
-        assert not by_id[0].dropped
-        sep = model.separable_part()
-        sep.eval()
-        with nn.no_grad():
-            np.testing.assert_array_equal(by_id[0].payload, sep(Tensor(tiles[0])).data)
-
-    def test_sweep_counts_dropped_results(self):
-        """The collect loop counts dropped markers and leaves the tile
-        unanswered (no entry lands in any image's results)."""
-        import queue
-
-        from repro.runtime.messages import TileResult
-        from repro.telemetry import TelemetryRecorder
-
-        tel = TelemetryRecorder()
-        cluster = ProcessCluster(small_model(), TileGrid(2, 2), telemetry=tel)
-        rq = queue.Queue()
-        rq.put(TileResult(image_id=0, tile_id=0, payload=None, worker=0, dropped=True))
-        cluster._result_queues.append(rq)
-        assert cluster._sweep_results({}) is True
-        assert tel.metrics.counter_total("adcnn_worker_dropped_tasks_total") == 1.0

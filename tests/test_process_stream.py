@@ -74,47 +74,6 @@ class TestInferStream:
 class TestHotLoopFixes:
     """Regression tests for the ISSUE 6 hot-loop latency bugfixes."""
 
-    def test_stage_result_ring_full_is_nonblocking(self):
-        """A full result ring must fall back inline immediately — the old
-        code parked the worker on ``acquire(timeout=0.25)`` per tile."""
-        import multiprocessing as mp
-
-        from repro.runtime.messages import ArenaGrant
-        from repro.runtime.process_backend import _stage_result
-
-        grant = ArenaGrant(("bogus-slot",), 1 << 20)
-        payload = np.ones((8, 8), dtype=np.float32)
-        sem = mp.get_context("fork").Semaphore(0)  # ring exhausted
-        t0 = time.perf_counter()
-        out, cursor, ring_fallback = _stage_result(payload, grant, {}, sem, 3)
-        elapsed = time.perf_counter() - t0
-        assert out is payload  # shipped inline, not as a ShmRef
-        assert cursor == 3  # slot not consumed
-        assert ring_fallback  # reported so telemetry can count it
-        assert elapsed < 0.1, f"ring-full probe blocked for {elapsed:.3f}s"
-
-    def test_stage_result_oversized_payload_not_a_fallback(self):
-        """Payloads that never fit a slot are inline by design, not ring
-        exhaustion — they must not inflate the fallback counter."""
-        import multiprocessing as mp
-
-        from repro.runtime.messages import ArenaGrant
-        from repro.runtime.process_backend import _stage_result
-
-        grant = ArenaGrant(("bogus-slot",), 16)  # slot smaller than payload
-        payload = np.ones((8, 8), dtype=np.float32)
-        sem = mp.get_context("fork").Semaphore(1)
-        out, cursor, ring_fallback = _stage_result(payload, grant, {}, sem, 0)
-        assert out is payload
-        assert cursor == 0
-        assert not ring_fallback
-
-    def test_tile_result_carries_ring_fallback_flag(self):
-        from repro.runtime import TileResult
-
-        res = TileResult(image_id=0, tile_id=0, payload=None, worker=0)
-        assert res.ring_fallback is False
-
     def test_wait_results_blocks_then_wakes(self):
         """The idle wait must block on the result-queue readers (no 5 ms
         sleep floor) and wake as soon as any worker posts a result."""

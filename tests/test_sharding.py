@@ -448,7 +448,16 @@ class TestServingFailover:
         # Graceful drain with a dead shard: stop() already returned, cleanly.
 
     def test_process_backend_total_outage_resolves_typed(self):
-        router = build_router(small_model(), TileGrid(2, 2), two_shard_spec())
+        # Each one-worker shard sleeps 0.5 s per tile, so an image needs at
+        # least 2 s of worker time.  No image can finish between submit()
+        # and kill(); unthrottled, one sometimes did and its future
+        # resolved with a result instead of an error.
+        slow = ProcessClusterConfig(num_workers=1, t_limit=30.0, delay_per_tile=(0.5,))
+        spec = ShardedDeploymentSpec(
+            shards=tuple(ShardSpec(f"shard{i}", num_workers=1, config=slow) for i in range(2)),
+            policy="round_robin", mark_down_after=1, max_restarts=0,
+        )
+        router = build_router(small_model(), TileGrid(2, 2), spec)
         with ServingFrontEnd(
             router, ServingConfig(window=4, queue_capacity=16, drain_timeout=15.0)
         ) as fe:
@@ -461,6 +470,8 @@ class TestServingFailover:
                     fut.result(timeout=90)
                 kinds.add(type(err.value).__name__)
             assert kinds  # every future resolved, typed
+            # The failures came from the kill: both shards went down.
+            assert [s.state for s in fe.health().shards] == [STATE_DOWN, STATE_DOWN]
             stats = fe.client_stats()
             assert stats.submitted == 4
             assert stats.completed == 0
@@ -592,18 +603,8 @@ class TestSpecAndDeployment:
         cfg = dep.cluster_config(num_workers=1, t_limit=7.0)
         cluster = dep.serve(cfg)
         assert cluster.config is cfg
-        with pytest.raises(TypeError, match="not both"):
-            dep.serve(cfg, t_limit=3.0)
-
-    def test_serve_legacy_kwargs_deprecated_but_working(self):
-        dep = ADCNNDeployment(small_model(), TileGrid(2, 2))
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            cluster = dep.serve(num_workers=1, t_limit=4.0)
-        assert cluster.config.num_workers == 1
-        assert cluster.config.t_limit == 4.0
-        with pytest.warns(DeprecationWarning):
-            cluster = dep.serve(3)  # bare positional worker count
-        assert cluster.config.num_workers == 3
+        with pytest.raises(TypeError, match="t_limit"):
+            dep.serve(cfg, t_limit=3.0)  # loose kwargs are no longer accepted
 
     def test_serve_sharded_end_to_end(self):
         dep = ADCNNDeployment(small_model(), TileGrid(2, 2))

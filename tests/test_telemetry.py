@@ -166,11 +166,6 @@ class TestRecorder:
         assert h.count == 2 and h.sum == pytest.approx(2.0)
         assert len(t.spans(STAGE_CONV_COMPUTE)) == 2
 
-    def test_trace_recorder_alias(self):
-        from repro.simulator import TraceRecorder
-
-        assert TraceRecorder is TelemetryRecorder
-
 
 def _sample_recorder() -> TelemetryRecorder:
     t = TelemetryRecorder()
