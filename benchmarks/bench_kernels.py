@@ -4,7 +4,9 @@ These use pytest-benchmark's statistical timing (multiple rounds) — the
 numbers to watch when optimizing the NumPy engine.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +25,10 @@ from repro.nn.fused import fused_clip_quantize, try_compile
 from repro.partition import TileGrid, fdsp_forward
 from repro.partition.geometry import split_array
 from repro.runtime import allocate_tiles
+
+# The test-only reference kernels live next to the conformance tests.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from conv_oracle import conv2d_im2col, max_pool2d_reshape  # noqa: E402
 
 RNG = np.random.default_rng(0)
 
@@ -191,3 +197,88 @@ def test_fused_clip_quantize_speedup(benchmark):
         f"(unfused {t_unfused * 1e6:.0f} us, fused {t_fused * 1e6:.0f} us)"
     )
     benchmark(fused)
+
+
+# ------------------------------------------ conv / pool kernels, fused tail
+def test_conv2d_chunk_gather_speedup(benchmark):
+    """CI gate (DESIGN.md §5i): the chunk-gather conv must be >= 1.6x the
+    full-im2col reference on a worker's 8-tile block-1 batch of large_q4
+    (8x12x56x56 -> 12, 3x3, pad 1), with bitwise-equal output."""
+    x = RNG.normal(size=(8, 12, 56, 56)).astype(np.float32)
+    x *= x > 0
+    w = RNG.normal(size=(12, 12, 3, 3)).astype(np.float32)
+
+    def oracle():
+        return conv2d_im2col(x, w, (1, 1), (1, 1))
+
+    def gather():
+        return F._conv2d_raw(x, w, (1, 1), (1, 1))
+
+    np.testing.assert_array_equal(gather().view(np.uint32), oracle().view(np.uint32))
+    t_oracle = _timed(oracle, repeats=10)
+    t_gather = _timed(gather, repeats=10)
+    speedup = t_oracle / t_gather
+    assert speedup >= 1.6, (
+        f"chunk-gather conv only {speedup:.2f}x the im2col reference "
+        f"(im2col {t_oracle * 1e3:.2f} ms, gather {t_gather * 1e3:.2f} ms)"
+    )
+    benchmark(gather)
+
+
+def test_max_pool2d_strided_speedup(benchmark):
+    """CI gate: the strided-maximum pool must be >= 5x the reshape /
+    transpose / reduce reference on the same block-1 batch."""
+    x = RNG.normal(size=(8, 12, 56, 56)).astype(np.float32)
+    x *= x > 0
+    stack = nn.Sequential(nn.MaxPool2d(2))
+    fused = try_compile(stack)
+
+    def reference():
+        return max_pool2d_reshape(x, 2)
+
+    def strided():
+        return fused(x)
+
+    np.testing.assert_array_equal(strided(), reference())
+    t_reference = _timed(reference, repeats=20)
+    t_strided = _timed(strided, repeats=20)
+    speedup = t_reference / t_strided
+    assert speedup >= 5.0, (
+        f"strided max pool only {speedup:.2f}x the reshape reference "
+        f"(reshape {t_reference * 1e3:.3f} ms, strided {t_strided * 1e3:.3f} ms)"
+    )
+    benchmark(strided)
+
+
+def test_fused_tail_beats_autograd_tail(benchmark):
+    """CI gate: on large_q4's merged map (vgg_mini at 224 px, 4 separable
+    blocks: a 1x24x112x112 map), the compiled rest layers must be faster
+    than the autograd rest layers under no_grad, with equal output.  Laps
+    alternate between the two so host noise hits both alike."""
+    model = vgg_mini(num_classes=4, input_size=224, base_width=12, separable_prefix=4).eval()
+    rest = model.rest_part()
+    fused = try_compile(rest)
+    assert fused is not None
+    fm = RNG.normal(size=(1, 24, 112, 112)).astype(np.float32)
+    fm *= fm > 0
+
+    def autograd():
+        with nn.no_grad():
+            return rest(Tensor(fm)).data
+
+    def compiled():
+        return fused(fm)
+
+    np.testing.assert_array_equal(compiled().view(np.uint32), autograd().view(np.uint32))
+    laps: dict[str, list[float]] = {"autograd": [], "compiled": []}
+    for _ in range(5):
+        for name, fn in (("autograd", autograd), ("compiled", compiled)):
+            t0 = time.perf_counter()
+            for _ in range(5):
+                fn()
+            laps[name].append((time.perf_counter() - t0) / 5)
+    t_autograd, t_compiled = min(laps["autograd"]), min(laps["compiled"])
+    assert t_compiled < t_autograd, (
+        f"fused tail {t_compiled * 1e3:.2f} ms not faster than autograd tail {t_autograd * 1e3:.2f} ms"
+    )
+    benchmark(compiled)

@@ -2,23 +2,22 @@
 
 The convolution kernels here are the computational heart of the reproduction:
 they run both the per-tile FDSP forward passes on (emulated) Conv nodes and
-the retraining loops of Algorithm 1.  Convolution is implemented as im2col
-(``sliding_window_view``, zero-copy) followed by a GEMM over the flattened
-output rows, and its input gradient uses the dilated transposed-convolution
-identity so every path stays vectorized: no Python loops over pixels.
+the retraining loops of Algorithm 1.  Convolution is an im2col GEMM over the
+flattened output rows, gathered chunk by chunk (:func:`_conv2d_raw`), and its
+input gradient uses the dilated transposed-convolution identity so every path
+stays vectorized: no Python loops over pixels.
 
 The GEMM is dispatched in *fixed-shape chunks* — every BLAS call is exactly
-``(_GEMM_CHUNK_ROWS, C·kh·kw) @ (C·kh·kw, O)``, the last chunk zero-padded
-to size — and that shape discipline is a deliberate invariant, not an
-accident: BLAS picks different kernels (hence different summation orders)
-for different matrix sizes, so a variable-``M`` GEMM makes an output
-pixel's bits depend on how many rows share its call (batch size, tile
-area).  With every call identically shaped, each output pixel is a pure
-function of its own im2col row, which buys two bitwise guarantees at once
-(DESIGN.md §5i): stacking a grid's K tiles into one (K·N, C, h, w) block
-yields exactly the bits of K separate forwards, and a tile's interior
-pixels equal the unpartitioned whole-image forward exactly (the FDSP
-exactness contract of §3.2).
+``(_GEMM_CHUNK_ROWS, C·kh·kw) @ (C·kh·kw, O)`` on C-contiguous operands —
+and that shape discipline is a deliberate invariant, not an accident: BLAS
+picks different kernels (hence different summation orders) for different
+matrix sizes, so a variable-``M`` GEMM makes an output pixel's bits depend
+on how many rows share its call (batch size, tile area).  With every call
+identically shaped, each output pixel is a pure function of its own im2col
+row, which buys two bitwise guarantees at once (DESIGN.md §5i): stacking a
+grid's K tiles into one (K·N, C, h, w) block yields exactly the bits of K
+separate forwards, and a tile's interior pixels equal the unpartitioned
+whole-image forward exactly (the FDSP exactness contract of §3.2).
 """
 
 from __future__ import annotations
@@ -51,54 +50,70 @@ def _as_pair(v) -> tuple[int, int]:
 # --------------------------------------------------------------------------
 # Raw NumPy convolution helpers (shared by forward and backward passes).
 # --------------------------------------------------------------------------
-#: Fixed GEMM height.  Every conv BLAS call is exactly this many rows (the
-#: last chunk zero-padded), so kernel selection — and therefore summation
-#: order — never varies with batch size or tile area.  See module docstring.
+#: Fixed GEMM height.  Every conv BLAS call is exactly this many rows, so
+#: kernel selection — and therefore summation order — never varies with
+#: batch size or tile area.  See module docstring.
 _GEMM_CHUNK_ROWS = 256
 
 
-def _chunked_matmul(cols: np.ndarray, wmat: np.ndarray) -> np.ndarray:
-    """``cols (M, K) @ wmat (K, O)`` via fixed-shape GEMM calls.
-
-    Both operands must be C-contiguous.  Each output row depends only on
-    the corresponding input row, bitwise, regardless of ``M``.
-    """
-    rows, k = cols.shape
-    out = np.empty((rows, wmat.shape[1]), dtype=cols.dtype)
-    pad_buf: np.ndarray | None = None
-    for start in range(0, rows, _GEMM_CHUNK_ROWS):
-        stop = min(start + _GEMM_CHUNK_ROWS, rows)
-        if stop - start == _GEMM_CHUNK_ROWS:
-            out[start:stop] = cols[start:stop] @ wmat
-        else:
-            if pad_buf is None:
-                pad_buf = np.zeros((_GEMM_CHUNK_ROWS, k), dtype=cols.dtype)
-            pad_buf[: stop - start] = cols[start:stop]
-            out[start:stop] = (pad_buf @ wmat)[: stop - start]
-    return out
-
-
 def _conv2d_raw(x: np.ndarray, w: np.ndarray, stride: tuple[int, int], pad: tuple[int, int]) -> np.ndarray:
-    """Cross-correlate ``x`` (N,C,H,W) with ``w`` (O,C,kh,kw)."""
+    """Cross-correlate ``x`` (N,C,H,W) with ``w`` (O,C,kh,kw).
+
+    The im2col rows are never materialized as one ``(M, C·kh·kw)`` matrix.
+    The input is copied once, zero-padded and channels-last, into one flat
+    ``(pixels, C)`` array per stride phase (a single phase at stride 1).
+    Output pixels are numbered on that padded grid, so the input pixel a
+    kernel offset ``(i, j)`` reads sits a fixed number of rows after the
+    output pixel's own: a 256-row chunk of im2col is filled with one
+    contiguous ``(256, C)`` slice copy per offset, into columns ``(c, i, j)``
+    of one reused C-contiguous buffer.  Rows of the padded grid that are not
+    output pixels are computed and dropped; every output pixel still gets
+    exactly its im2col row in an identically shaped GEMM, hence the same
+    bits (DESIGN.md §5i).
+    """
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
     sh, sw = stride
     ph, pw = pad
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    kh, kw = w.shape[2], w.shape[3]
-    # (N, C, Ho', Wo', kh, kw) view — zero-copy.
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    if sh != 1 or sw != 1:
-        win = win[:, :, ::sh, ::sw]
-    n, c, ho, wo = win.shape[:4]
-    o = w.shape[0]
-    # im2col + fixed-shape chunked GEMM: every BLAS call sees one layout
-    # and one shape, making each output pixel a pure function of its own
-    # im2col row (see module docstring).  Both operands are made
-    # C-contiguous so slicing by the caller can't change the layout.
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (wd + 2 * pw - kw) // sw + 1
+    # Phase grid: output pixel (ho, wo) at offset (i, j) reads phase
+    # (i % sh, j % sw) at (ho + i // sh, wo + j // sw).
+    hq, wq = ho + (kh - 1) // sh, wo + (kw - 1) // sw
+    grid = n * hq * wq
+    chunks = -(-grid // _GEMM_CHUNK_ROWS)
+    # Every chunk reads up to this far past its own rows; the tail is zeros.
+    phase_rows = chunks * _GEMM_CHUNK_ROWS + ((kh - 1) // sh) * wq + (kw - 1) // sw
+    xt = x.transpose(0, 2, 3, 1)
+    if sh == 1 and sw == 1:
+        phases = np.zeros((1, phase_rows, c), dtype=x.dtype)
+        phases[0, :grid].reshape(n, hq, wq, c)[:, ph : ph + h, pw : pw + wd] = xt
+    else:
+        hb, wb = hq * sh, wq * sw
+        hh, ww = min(h, hb - ph), min(wd, wb - pw)
+        padded = np.zeros((n, hb, wb, c), dtype=x.dtype)
+        padded[:, ph : ph + hh, pw : pw + ww] = xt[:, :hh, :ww]
+        phases = np.zeros((sh * sw, phase_rows, c), dtype=x.dtype)
+        for a in range(sh):
+            for b in range(sw):
+                phases[a * sw + b, :grid].reshape(n, hq, wq, c)[...] = padded[:, a::sh, b::sw]
+    taps = [
+        (phases[(i % sh) * sw + j % sw], (i // sh) * wq + j // sw, i * kw + j)
+        for i in range(kh)
+        for j in range(kw)
+    ]
     wmat = np.ascontiguousarray(w.transpose(1, 2, 3, 0)).reshape(c * kh * kw, o)
-    out = _chunked_matmul(cols, wmat)
-    return np.ascontiguousarray(out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2))
+    buf = np.empty((_GEMM_CHUNK_ROWS, c * kh * kw), dtype=x.dtype)
+    cols = buf.reshape(_GEMM_CHUNK_ROWS, c, kh * kw)
+    out = np.empty((chunks * _GEMM_CHUNK_ROWS, o), dtype=x.dtype)
+    for start in range(0, chunks * _GEMM_CHUNK_ROWS, _GEMM_CHUNK_ROWS):
+        stop = start + _GEMM_CHUNK_ROWS
+        for phase, shift, t in taps:
+            cols[:, :, t] = phase[start + shift : stop + shift]
+        # Mixed dtypes promote inside the GEMM and are cast back to x's dtype.
+        np.matmul(buf, wmat, out=out[start:stop])
+    out = out[:grid].reshape(n, hq, wq, o)[:, :ho, :wo]
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
 def _dilate(g: np.ndarray, stride: tuple[int, int]) -> np.ndarray:
@@ -211,22 +226,55 @@ def pad2d(x: Tensor, pad: tuple[int, int, int, int]) -> Tensor:
     return Tensor._make(data, (x,), "pad2d", bwd)
 
 
+def _max_over_phases(phases: list[np.ndarray]) -> np.ndarray:
+    """Elementwise maximum of same-shape window phases given in window order:
+    the value ``argmax`` over each window picks, sign of zero included.
+
+    ``np.maximum`` returns its second operand when the two compare equal
+    (``-0.0`` vs ``0.0``), so the chain runs the phases in reverse with each
+    new phase second: among equal maxima the earliest offset wins, as
+    ``argmax`` picks the first.
+    """
+    out = np.array(phases[-1], order="C")
+    for phase in reversed(phases[:-1]):
+        np.maximum(out, phase, out=out)
+    return out
+
+
+def _max_pool2d_raw(x: np.ndarray, k: int) -> np.ndarray:
+    """Non-overlapping ``k×k`` max pool of ``x`` (N,C,H,W) over the k²
+    strided phases ``x[:, :, di::k, dj::k]`` in row-major window order."""
+    h, w = x.shape[2:]
+    if h % k or w % k:
+        raise ValueError(f"max_pool2d: spatial dims {(h, w)} not divisible by kernel {k}")
+    return _max_over_phases([x[:, :, di::k, dj::k] for di in range(k) for dj in range(k)])
+
+
+def _max_pool1d_raw(x: np.ndarray, k: int) -> np.ndarray:
+    """Non-overlapping max pool of ``x`` (N,C,L) over the k phases ``x[:, :, d::k]``."""
+    length = x.shape[2]
+    if length % k:
+        raise ValueError(f"max_pool1d: length {length} not divisible by kernel {k}")
+    return _max_over_phases([x[:, :, d::k] for d in range(k)])
+
+
 def max_pool2d(x: Tensor, kernel: int) -> Tensor:
     """Non-overlapping max pooling (kernel == stride).
 
     ADCNN requires pooling receptive fields to stay inside one tile (§3.2),
-    which non-overlapping pooling with tile-divisible sizes guarantees.
+    which non-overlapping pooling with tile-divisible sizes guarantees.  The
+    forward is the fused kernel :func:`_max_pool2d_raw`; the window
+    ``argmax`` that routes the gradient is computed only in backward, from
+    the saved input.
     """
-    n, c, h, w = x.shape
     k = kernel
-    if h % k or w % k:
-        raise ValueError(f"max_pool2d: spatial dims {(h, w)} not divisible by kernel {k}")
-    ho, wo = h // k, w // k
-    win = x.data.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
-    idx = win.argmax(axis=-1)
-    out_data = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    out_data = _max_pool2d_raw(x.data, k)
 
     def bwd(out: Tensor) -> None:
+        n, c, h, w = x.shape
+        ho, wo = h // k, w // k
+        win = x.data.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
+        idx = win.argmax(axis=-1)
         gwin = np.zeros((n, c, ho, wo, k * k), dtype=x.data.dtype)
         np.put_along_axis(gwin, idx[..., None], out.grad[..., None], axis=-1)
         gx = gwin.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
@@ -258,15 +306,16 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
 
 
 def max_pool1d(x: Tensor, kernel: int) -> Tensor:
-    """Non-overlapping 1-D max pooling for CharCNN: (N, C, L) -> (N, C, L/k)."""
-    n, c, l = x.shape
-    if l % kernel:
-        raise ValueError(f"max_pool1d: length {l} not divisible by kernel {kernel}")
-    win = x.data.reshape(n, c, l // kernel, kernel)
-    idx = win.argmax(axis=-1)
-    out_data = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    """Non-overlapping 1-D max pooling for CharCNN: (N, C, L) -> (N, C, L/k).
+
+    Forward is :func:`_max_pool1d_raw`; the ``argmax`` is taken in backward.
+    """
+    out_data = _max_pool1d_raw(x.data, kernel)
 
     def bwd(out: Tensor) -> None:
+        n, c, l = x.shape
+        win = x.data.reshape(n, c, l // kernel, kernel)
+        idx = win.argmax(axis=-1)
         gwin = np.zeros_like(win)
         np.put_along_axis(gwin, idx[..., None], out.grad[..., None], axis=-1)
         x._accumulate(gwin.reshape(n, c, l))

@@ -1,22 +1,26 @@
-"""Fused no-grad inference kernels — the worker hot path (DESIGN.md §5i).
+"""Fused no-grad inference kernels — the worker and Central hot paths
+(DESIGN.md §5i).
 
 The autograd module path pays, per layer per tile, the cost of
 :meth:`Tensor._make` graph construction plus one temporary array per
-elementwise op.  Inference workers never backpropagate, so this module
-compiles a separable stack once into a flat chain of raw-ndarray *steps*
-(conv+bias, BN affine, activation, pool) that run with in-place ufuncs and
-no Tensor objects at all.  :func:`fused_clip_quantize` is the §4 analogue:
-clip → shift → quantize in one pass over the activation map.
+elementwise op.  Inference never backpropagates, so this module compiles a
+stack once into a flat chain of raw-ndarray *steps* (conv+bias, BN affine,
+activation, pool, global average pool, flatten, linear) that run with
+in-place ufuncs and no Tensor objects at all.  Workers run the compiled
+separable prefix; the Central node runs the compiled rest layers.
+:func:`fused_clip_quantize` is the §4 analogue: clip → shift → quantize in
+one pass over the activation map.
 
 Bit-identity contract
 ---------------------
 Every fused step reproduces the exact ufunc sequence of its module
 counterpart (same ops, same operand dtypes, same clip bounds), and the
-convolution goes through the same :func:`~repro.nn.functional._conv2d_raw`
-per-sample GEMM.  ``FusedSeparable(stack)(x)`` therefore returns bitwise the
-same array as ``stack(Tensor(x)).data`` in eval mode — a property the
-conformance tests assert, and the reason workers may switch freely between
-the two paths.
+convolution and max pool go through the same
+:func:`~repro.nn.functional._conv2d_raw` chunked GEMM and
+:func:`~repro.nn.functional._max_pool2d_raw` kernel as the module path.
+``FusedSeparable(stack)(x)`` therefore returns bitwise the same array as
+``stack(Tensor(x)).data`` in eval mode — a property the conformance tests
+assert, and the reason callers may switch freely between the two paths.
 
 Composite blocks opt in by implementing ``fused_steps(compile_module)``
 (see :class:`repro.models.blocks.ResidualBlock`); unknown modules make
@@ -32,14 +36,17 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .functional import _conv2d_raw
+from .functional import _conv2d_raw, _max_pool1d_raw, _max_pool2d_raw
 from .modules import (
     AvgPool2d,
     ClippedReLU,
     Conv1d,
     Conv2d,
+    Flatten,
+    GlobalAvgPool2d,
     Identity,
     LeakyReLU,
+    Linear,
     MaxPool1d,
     MaxPool2d,
     Module,
@@ -155,27 +162,11 @@ def _quantize_ste_steps(m: QuantizeSTE) -> list[Step]:
 
 
 def _max_pool2d_steps(m: MaxPool2d) -> list[Step]:
-    def run(x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        k = m.kernel_size
-        if h % k or w % k:
-            raise ValueError(f"max_pool2d: spatial dims {(h, w)} not divisible by kernel {k}")
-        ho, wo = h // k, w // k
-        win = x.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
-        return win.max(axis=-1)
-
-    return [(run, False)]
+    return [(lambda x: _max_pool2d_raw(x, m.kernel_size), False)]
 
 
 def _max_pool1d_steps(m: MaxPool1d) -> list[Step]:
-    def run(x: np.ndarray) -> np.ndarray:
-        n, c, length = x.shape
-        k = m.kernel_size
-        if length % k:
-            raise ValueError(f"max_pool1d: length {length} not divisible by kernel {k}")
-        return x.reshape(n, c, length // k, k).max(axis=-1)
-
-    return [(run, False)]
+    return [(lambda x: _max_pool1d_raw(x, m.kernel_size), False)]
 
 
 def _avg_pool2d_steps(m: AvgPool2d) -> list[Step]:
@@ -185,6 +176,24 @@ def _avg_pool2d_steps(m: AvgPool2d) -> list[Step]:
         if h % k or w % k:
             raise ValueError(f"avg_pool2d: spatial dims {(h, w)} not divisible by kernel {k}")
         return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+
+    return [(run, False)]
+
+
+def _global_avg_pool2d_steps(m: GlobalAvgPool2d) -> list[Step]:
+    return [(lambda x: x.mean(axis=(2, 3)), False)]
+
+
+def _flatten_steps(m: Flatten) -> list[Step]:
+    return [(lambda x: x.reshape(*x.shape[: m.start_dim], -1), False)]
+
+
+def _linear_steps(m: Linear) -> list[Step]:
+    def run(x: np.ndarray) -> np.ndarray:
+        out = x @ m.weight.data.transpose((1, 0))
+        if m.bias is not None:
+            out = out + m.bias.data
+        return out
 
     return [(run, False)]
 
@@ -222,6 +231,12 @@ def compile_module(m: Module) -> list[Step]:
         return _max_pool1d_steps(m)
     if isinstance(m, AvgPool2d):
         return _avg_pool2d_steps(m)
+    if isinstance(m, GlobalAvgPool2d):
+        return _global_avg_pool2d_steps(m)
+    if isinstance(m, Flatten):
+        return _flatten_steps(m)
+    if isinstance(m, Linear):
+        return _linear_steps(m)
     hook = getattr(m, "fused_steps", None)
     if callable(hook):
         return list(hook(compile_module))
@@ -229,7 +244,8 @@ def compile_module(m: Module) -> list[Step]:
 
 
 class FusedSeparable:
-    """A separable stack compiled to a raw-ndarray inference chain.
+    """A module stack (separable prefix or rest layers) compiled to a
+    raw-ndarray inference chain.
 
     Callable like the stack itself but ndarray → ndarray: no Tensor graph,
     in-place elementwise ops, bitwise-identical output to the module path

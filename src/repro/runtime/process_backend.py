@@ -312,6 +312,9 @@ class ProcessCluster:
         self.telemetry = telemetry if telemetry is not None else NullRecorder()
         self._rest = model.rest_part()
         self._rest.eval()
+        #: The rest layers compiled to fused no-grad kernels (DESIGN.md §5i);
+        #: ``None`` keeps the autograd module path for stacks without kernels.
+        self._fused_rest = nn.try_compile(self._rest)
         #: The shared decision machine.  Built once and reused across every
         #: ``infer_stream`` call so the Algorithm-2 ``s_k`` statistics carry
         #: over between streams (the historical behavior of this backend).
@@ -643,8 +646,11 @@ class ProcessCluster:
         out_tiles, missing = self._materialize_tiles(st["tiles"], st["results"])
         feature_map = reassemble_array(out_tiles, self.grid)
         t_rest = time.perf_counter()
-        with nn.no_grad():
-            output = self._rest(Tensor(feature_map)).data
+        if self._fused_rest is not None:
+            output = self._fused_rest(feature_map)
+        else:
+            with nn.no_grad():
+                output = self._rest(Tensor(feature_map)).data
         t_done = time.perf_counter()
         if st["local"]:
             tel.count("adcnn_tiles_local_total", len(st["local"]))

@@ -1,13 +1,14 @@
 """Fused no-grad inference kernels (repro.nn.fused): bit-identity with the
-module/Tensor path, dtype discipline, training-mode refusal, and graceful
-fallback for stacks without kernels."""
+module/Tensor path for the separable prefix and the Central tail, dtype
+discipline, training-mode refusal, and graceful fallback for stacks without
+kernels."""
 
 import numpy as np
 import pytest
 
 import repro.nn as nn
 from repro.compression import CompressionPipeline
-from repro.models import charcnn_mini, fcn_mini, resnet_mini, vgg_mini, yolo_mini
+from repro.models import charcnn_mini, fcn_mini, resnet, resnet_mini, vgg16, vgg_mini, yolo_mini
 from repro.nn import Tensor
 from repro.nn.fused import FusedSeparable, UnsupportedModule, compile_module, try_compile
 
@@ -127,3 +128,77 @@ class TestFusedClipQuantize:
         assert got_stream.encoded_bits == seed_stream.encoded_bits
         np.testing.assert_array_equal(rle_decode(got_stream), rle_decode(seed_stream))
         np.testing.assert_array_equal(pipe.apply(x), pipe.reference_values(x))
+
+
+TAIL_BUILDERS = {
+    "vgg_mini": lambda: vgg_mini(num_classes=3, input_size=48, base_width=6),
+    "resnet": lambda: resnet([1, 1, 1, 1], num_classes=5, input_size=64, width_mult=0.0625, separable_prefix=2),
+    "vgg16": lambda: vgg16(num_classes=5, input_size=32, width_mult=0.0625),
+}
+
+
+def _merged_map(model):
+    """A separable-prefix output, as the Central node merges it."""
+    with nn.no_grad():
+        return model.separable_part()(Tensor(_input_for(model, batch=1))).data
+
+
+class TestFusedTail:
+    @pytest.mark.parametrize("name", sorted(TAIL_BUILDERS))
+    def test_rest_part_compiles_and_matches_autograd(self, name):
+        """GAP, Flatten and Linear kernels close the tail: the compiled rest
+        layers equal ``rest(Tensor(fm)).data`` bitwise."""
+        model = TAIL_BUILDERS[name]().eval()
+        rest = model.rest_part()
+        fused = try_compile(rest)
+        assert fused is not None, f"{name} rest layers should compile"
+        fm = _merged_map(model)
+        before = fm.copy()
+        with nn.no_grad():
+            expected = rest(Tensor(fm)).data
+        got = fused(fm)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        np.testing.assert_array_equal(got.view(np.uint32), expected.view(np.uint32))
+        np.testing.assert_array_equal(fm, before)
+
+    def test_rest_part_refuses_training_mode(self):
+        model = TAIL_BUILDERS["vgg_mini"]().eval()
+        fm = _merged_map(model)
+        fused = try_compile(model.rest_part())
+        model.train()
+        with pytest.raises(RuntimeError, match="inference-only"):
+            fused(fm)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_flatten_and_linear_kernels(self, bias):
+        rng = np.random.default_rng(int(bias))
+        x = rng.normal(size=(3, 4, 5, 2)).astype(np.float32)
+        stack = nn.Sequential(nn.Flatten(), nn.ReLU(), nn.Linear(40, 7, bias=bias, rng=rng))
+        with nn.no_grad():
+            expected = stack(Tensor(x)).data
+        np.testing.assert_array_equal(try_compile(stack)(x).view(np.uint32), expected.view(np.uint32))
+
+    def test_process_cluster_tail_equals_autograd_on_merged_map(self):
+        """``ProcessCluster._finalize`` runs the compiled tail; its output is
+        exactly the autograd tail applied to the map it merged."""
+        from repro.partition import TileGrid
+        from repro.runtime import ProcessCluster, ProcessClusterConfig
+
+        model = vgg_mini(num_classes=3, input_size=24, base_width=6, separable_prefix=2).eval()
+        pipeline = CompressionPipeline(lower=0.0, upper=4.0, bits=4)
+        x = RNG.normal(size=(1, 3, 24, 24)).astype(np.float32)
+        seen: list[np.ndarray] = []
+        with ProcessCluster(model, TileGrid(2, 2), pipeline, ProcessClusterConfig(num_workers=2)) as cluster:
+            fused_rest = cluster._fused_rest
+            assert isinstance(fused_rest, FusedSeparable)
+
+            def spy(fm):
+                seen.append(fm.copy())
+                return fused_rest(fm)
+
+            cluster._fused_rest = spy
+            outcome = cluster.infer(x)
+        assert len(seen) == 1 and outcome.zero_filled_tiles == []
+        with nn.no_grad():
+            expected = model.rest_part()(Tensor(seen[0])).data
+        np.testing.assert_array_equal(outcome.output.view(np.uint32), expected.view(np.uint32))
